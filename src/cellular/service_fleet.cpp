@@ -197,7 +197,7 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> tasks_run{0};
   const bool instrumented = !shard_metrics_.empty();
-  pool_.parallel_for(config_.num_shards, [&](std::size_t worker) {
+  const auto lane = [&](std::size_t worker) {
     if (config_.pin_threads) {
       (void)support::pin_current_thread_to_core(
           core_map_.core_of_shard[worker]);
@@ -230,7 +230,14 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
             static_cast<double>(now_ns() - start_ns));
       }
     }
-  });
+  };
+  if (active_areas_.size() == 1) {
+    // One area-task: the caller runs its shard's lane itself (pinned to
+    // that shard's core like the lane would be) with no pool hand-off.
+    lane(shard_of(active_areas_.front()));
+  } else {
+    pool_.parallel_for(config_.num_shards, lane);
+  }
 
   stats_.dispatches += 1;
   stats_.requests += requests.size();

@@ -22,9 +22,11 @@
 // gate at shard counts 1/2/8).
 //
 // Routing and placement: area -> shard is the static map area %
-// num_shards; shard -> core is round-robin (support::ShardCoreMap), with
-// optional best-effort thread pinning. Each shard drains its own bounded
-// FIFO queue; when a queue's backlog exceeds FleetConfig::steal_limit,
+// num_shards; shard -> core is round-robin over the CPUs the process may
+// use (support::ShardCoreMap), with optional best-effort thread pinning.
+// The lanes are the pool's parked helpers: they outlive dispatches and
+// are joined with the fleet. Each shard drains its own bounded FIFO
+// queue; when a queue's backlog exceeds FleetConfig::steal_limit,
 // idle shards steal from its BACK (support::ShardQueueSet — the NOVA
 // core-map/steal-limit idiom, DESIGN.md §14). A dispatch that overflows
 // a queue routes the excess through a shared overflow lane and counts
@@ -81,8 +83,9 @@ struct FleetConfig {
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
   support::MetricRegistry* registry = nullptr;
-  /// Best-effort pinning of shard workers to their mapped cores
-  /// (Linux-only; purely a locality hint, results never depend on it).
+  /// Best-effort pinning of shard workers — and of a caller that runs a
+  /// one-area batch inline — to their mapped cores (Linux-only; purely
+  /// a locality hint, results never depend on it).
   bool pin_threads = false;
 
   /// Throws std::invalid_argument with a specific message on nonsense.
@@ -119,7 +122,9 @@ class ServiceFleet {
   /// Serves a batch: groups by area (preserving within-area order),
   /// routes area-tasks to shards, executes with work stealing, and
   /// gathers outcomes back into request order — outcomes[i] answers
-  /// requests[i]. Bit-identical results at every shard count. Throws
+  /// requests[i]. A batch touching one area runs inline on the caller
+  /// (pinned to that area's shard core when pin_threads is set).
+  /// Bit-identical results at every shard count. Throws
   /// std::invalid_argument on an out-of-range area or user id.
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);

@@ -23,8 +23,9 @@
 //     a thief only intrudes on a queue that is measurably behind, and
 //     takes from the back — the work its owner would reach last.
 //   * ShardCoreMap / pin_current_thread_to_core — round-robin shard ->
-//     core placement. Pinning is Linux-only and best-effort: placement
-//     is a performance hint, never a correctness requirement.
+//     core placement over the CPUs the process may use. Pinning is
+//     Linux-only and best-effort: placement is a performance hint,
+//     never a correctness requirement.
 #pragma once
 
 #include <algorithm>
@@ -230,17 +231,39 @@ class ShardQueueSet {
   const std::size_t steal_limit_;
 };
 
-/// Round-robin shard -> core placement over the machine's hardware
-/// threads: shard s runs best on core s % num_cores. Purely advisory.
+/// CPUs the calling thread may run on (sched_getaffinity), ascending —
+/// under taskset or a cpuset this is narrower than the machine. Falls
+/// back to 0..hardware_concurrency()-1 where no mask is available.
+inline std::vector<unsigned> allowed_cores() {
+  std::vector<unsigned> cores;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cores.push_back(cpu);
+    }
+  }
+#endif
+  if (cores.empty()) {
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned cpu = 0; cpu < hw; ++cpu) cores.push_back(cpu);
+  }
+  return cores;
+}
+
+/// Round-robin shard -> core placement over the CPUs the process was
+/// allowed (allowed_cores() of the constructing thread): shard s runs
+/// best on the (s % n)-th allowed CPU. Purely advisory.
 struct ShardCoreMap {
   std::vector<unsigned> core_of_shard;
 
   [[nodiscard]] static ShardCoreMap round_robin(std::size_t num_shards) {
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    const std::vector<unsigned> cores = allowed_cores();
     ShardCoreMap map;
     map.core_of_shard.reserve(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      map.core_of_shard.push_back(static_cast<unsigned>(s) % cores);
+      map.core_of_shard.push_back(cores[s % cores.size()]);
     }
     return map;
   }

@@ -16,7 +16,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
+#include <memory>
 
 namespace confcall::support {
 
@@ -24,30 +24,42 @@ namespace confcall::support {
 /// (std::thread::hardware_concurrency, itself clamped to >= 1).
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
 
-/// A blocking fork-join pool. Threads are spawned per parallel_for call
-/// and joined before it returns — the pool holds no background state, so
-/// a ThreadPool member never outlives its tasks and TSan sees a clean
-/// happens-before edge at every join. For the call counts this library
-/// cares about (dozens of parallel_for invocations per process, each
-/// running milliseconds to seconds of work) spawn cost is noise.
+/// A blocking fork-join pool with parked helpers. Up to size() - 1
+/// helper threads start on first use (only as many as a call can use),
+/// park on a condition variable between parallel_for calls — they never
+/// spin — and are joined by the destructor. Keeping them alive matters
+/// on a hot path: the serving fleet dispatches thousands of times a
+/// second, and a thread spawned and joined per call costs 12–18 µs of
+/// CPU where waking a parked helper costs under 1 µs (DESIGN.md §8.1).
+///
+/// One parallel_for runs at a time; concurrent callers on the same pool
+/// are serialized. A pool is NOT reentrant: calling parallel_for on a
+/// pool from inside one of that pool's own tasks deadlocks.
 class ThreadPool {
  public:
-  /// `num_threads` = 0 picks the hardware concurrency.
-  explicit ThreadPool(std::size_t num_threads = 0)
-      : num_threads_(resolve_threads(num_threads)) {}
+  /// `num_threads` = 0 picks the hardware concurrency. Starts no thread.
+  explicit ThreadPool(std::size_t num_threads = 0);
+  ~ThreadPool();
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return num_threads_; }
 
   /// Runs fn(0), fn(1), ..., fn(num_tasks - 1), each exactly once, on up
   /// to size() threads (the caller included), and blocks until all have
   /// finished. Task order across threads is unspecified; callers must not
-  /// rely on it. The first exception thrown by any task is captured and
-  /// rethrown on the calling thread after every worker has joined.
+  /// rely on it. A single task, or a pool of size 1, runs inline on the
+  /// caller without touching the helpers. The first exception thrown by
+  /// any task is captured and rethrown on the calling thread after every
+  /// helper has finished with the call.
   void parallel_for(std::size_t num_tasks,
                     const std::function<void(std::size_t)>& fn) const;
 
  private:
+  struct Lanes;  // parked helpers and their hand-off state
+
   std::size_t num_threads_;
+  std::unique_ptr<Lanes> lanes_;  ///< null for a pool of size 1
 };
 
 }  // namespace confcall::support

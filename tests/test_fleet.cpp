@@ -9,9 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "cellular/service.h"
 #include "cellular/topology.h"
@@ -84,6 +91,38 @@ TEST(FleetQueues, PushBoundedByCapacityAndHighWaterTracked) {
   EXPECT_EQ(queues.high_water(0), 2u);
   (void)queues.pop_local(0);
   EXPECT_EQ(queues.high_water(0), 2u);  // high-water survives drains
+}
+
+// ---- support::ShardCoreMap --------------------------------------------
+
+TEST(FleetCoreMap, RoundRobinStaysInsideTheAllowedMask) {
+#if defined(__linux__)
+  // Narrow this thread's mask the way taskset or a cpuset narrows a
+  // daemon's: without the first allowed CPU when there are two or more.
+  // Every shard must land on a CPU the thread may still use, in order.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  std::vector<unsigned> narrowed = support::allowed_cores();
+  ASSERT_FALSE(narrowed.empty());
+  if (narrowed.size() >= 2) narrowed.erase(narrowed.begin());
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (const unsigned cpu : narrowed) CPU_SET(cpu, &mask);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(mask), &mask), 0);
+  const std::vector<unsigned> seen = support::allowed_cores();
+  const support::ShardCoreMap map = support::ShardCoreMap::round_robin(5);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(original), &original), 0);
+
+  EXPECT_EQ(seen, narrowed);
+  ASSERT_EQ(map.core_of_shard.size(), 5u);
+  for (std::size_t s = 0; s < map.core_of_shard.size(); ++s) {
+    EXPECT_EQ(map.core_of_shard[s], narrowed[s % narrowed.size()])
+        << "shard " << s;
+  }
+#else
+  GTEST_SKIP() << "CPU masks are Linux-only";
+#endif
 }
 
 // ---- ServiceFleet -----------------------------------------------------
@@ -177,6 +216,84 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
     EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
         << "outcomes diverged at " << shards << " shards";
     EXPECT_EQ(save_bytes(fleet), reference_state)
+        << "state diverged at " << shards << " shards";
+  }
+}
+
+/// Kernel threads of this process (Linux /proc/self/task entries); 0
+/// where /proc is unavailable.
+std::size_t live_threads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return 0;
+  std::size_t count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(error)) {
+    ++count;
+  }
+  return error ? 0 : count;
+}
+
+TEST(Fleet, LanesParkBetweenDispatchesAndJoinOnDestruction) {
+  // A fleet's helper lanes start on first use, park between dispatches
+  // and are joined with the fleet: a 2-shard fleet holds exactly one
+  // helper thread from the first round to the thousandth, and none once
+  // destroyed. A pool that spawned a thread per dispatch would hold
+  // none between rounds; one that leaked would keep growing.
+  const std::size_t baseline = live_threads();
+  if (baseline == 0) GTEST_SKIP() << "no /proc/self/task";
+  const FleetWorld world;
+  {
+    ServiceFleet fleet = world.make_fleet(2, /*num_areas=*/6);
+    std::vector<ServiceFleet::Request> wide(fleet.num_areas());
+    for (std::size_t a = 0; a < wide.size(); ++a) {
+      wide[a].area = a;
+      wide[a].users = {static_cast<UserId>(a), 40};
+    }
+    std::vector<ServiceFleet::Request> single(1);
+    single[0].area = 3;
+    single[0].users = {5, 6};
+    const auto round = [&] {
+      fleet.step_all();
+      (void)fleet.locate_many(wide);
+      (void)fleet.locate_many(single);
+    };
+    round();
+    const std::size_t after_one = live_threads();
+    EXPECT_EQ(after_one, baseline + 1);
+    for (int r = 1; r < 1000; ++r) round();
+    EXPECT_EQ(live_threads(), after_one);
+  }
+  EXPECT_EQ(live_threads(), baseline);
+}
+
+TEST(Fleet, SingleAreaDispatchesIdenticalAcrossShardCounts) {
+  // One-area batches run inline on the caller; interleaved with wide
+  // batches and steps they must serve the same future at any shard
+  // count.
+  const FleetWorld world;
+  const auto run = [&](std::size_t shards) {
+    ServiceFleet fleet = world.make_fleet(shards);
+    std::vector<LocationService::LocateOutcome> all = drive(fleet, 2);
+    prob::Rng rng(17);
+    for (int i = 0; i < 40; ++i) {
+      if (i % 8 == 0) fleet.step_all();
+      std::vector<ServiceFleet::Request> one(1 + rng.next_below(3));
+      const std::size_t area = rng.next_below(fleet.num_areas());
+      for (ServiceFleet::Request& request : one) {
+        request.area = area;
+        request.users = {static_cast<UserId>(rng.next_below(64))};
+      }
+      const auto outcomes = fleet.locate_many(one);
+      all.insert(all.end(), outcomes.begin(), outcomes.end());
+    }
+    return std::make_pair(all, save_bytes(fleet));
+  };
+  const auto reference = run(1);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+    const auto other = run(shards);
+    EXPECT_TRUE(same_outcomes(reference.first, other.first))
+        << "outcomes diverged at " << shards << " shards";
+    EXPECT_EQ(reference.second, other.second)
         << "state diverged at " << shards << " shards";
   }
 }

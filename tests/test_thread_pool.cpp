@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <ctime>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "prob/rng.h"
@@ -69,6 +74,69 @@ TEST(ThreadPool, PropagatesTheFirstException) {
                           }
                         }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, BackToBackCallsRunEveryIndexOnce) {
+  // The parked helpers are handed 10k consecutive calls: a lost wake-up
+  // hangs here, a helper left on a finished call double-runs or skips an
+  // index of the next one.
+  const ThreadPool pool(4);
+  constexpr std::size_t kTasks = 6;
+  std::size_t bad_calls = 0;
+  for (int call = 0; call < 10'000; ++call) {
+    std::array<std::atomic<int>, kTasks> hits{};
+    pool.parallel_for(kTasks, [&](std::size_t task) {
+      hits[task].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (const std::atomic<int>& hit : hits) {
+      if (hit.load() != 1) {
+        ++bad_calls;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_calls, 0u);
+}
+
+TEST(ThreadPool, AnExceptionLeavesTheNextCallIntact) {
+  const ThreadPool pool(3);
+  for (int round = 0; round < 50; ++round) {
+    EXPECT_THROW(pool.parallel_for(16,
+                                   [](std::size_t task) {
+                                     if (task == 5) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(16);
+    EXPECT_NO_THROW(pool.parallel_for(16, [&](std::size_t task) {
+      hits[task].fetch_add(1, std::memory_order_relaxed);
+    }));
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "round " << round << " task " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ParkedHelpersBurnNoCpuAndJoinPromptly) {
+  auto pool = std::make_unique<ThreadPool>(4);
+  pool->parallel_for(8, [](std::size_t) {});
+  // Three helpers now wait for the next call. Parked, they cost no CPU:
+  // a spinning helper would burn its whole 300 ms.
+  const auto cpu_ms = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double cpu_before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(cpu_ms() - cpu_before, 100.0);
+
+  const auto start = std::chrono::steady_clock::now();
+  pool.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
 }
 
 TEST(Substream, DistinctIndicesGiveDistinctStreams) {
