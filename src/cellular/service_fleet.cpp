@@ -35,6 +35,11 @@ void FleetConfig::validate() const {
   if (queue_capacity == 0) {
     throw std::invalid_argument("FleetConfig: queue_capacity must be >= 1");
   }
+  if (!area_planners.empty() && area_planners.size() != num_areas) {
+    throw std::invalid_argument(
+        "FleetConfig: area_planners needs one entry per area (or none)");
+  }
+  faults.validate();
 }
 
 ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
@@ -123,8 +128,19 @@ std::unique_ptr<ServiceFleet::AreaState> ServiceFleet::build_area(
         *config_.registry,
         {{"shard", std::to_string(shard_of(area))}});
   }
+  if (!config_.area_planners.empty()) {
+    cfg.planner = config_.area_planners[area];
+  }
+  if (cfg.planner != nullptr) cfg.shared_plan_table = nullptr;
   state->service = std::make_unique<LocationService>(
       *grid_, *la_, *mobility_, std::move(cfg), initial_cells_);
+  if (config_.faults.any_enabled() &&
+      base_config_.paging_policy != PagingPolicy::kAdaptive) {
+    FaultConfig faults = config_.faults;
+    faults.seed = prob::mix_seed(config_.faults.seed, area);
+    state->faults = std::make_unique<FaultPlan>(faults, grid_->num_cells());
+    state->service->attach_faults(state->faults.get());
+  }
   state->user_cells = initial_cells_;
   return state;
 }
@@ -258,6 +274,7 @@ void ServiceFleet::step_all() {
     AreaState& state = *areas_state_[area];
     prob::Rng step_rng = prob::Rng::substream(
         prob::mix_seed(area_seed(area), kStepStream), state.step_counter++);
+    if (state.faults) state.faults->begin_step();
     for (std::size_t u = 0; u < state.user_cells.size(); ++u) {
       state.user_cells[u] = mobility_->step(state.user_cells[u], step_rng);
       (void)state.service->observe_move(static_cast<UserId>(u),

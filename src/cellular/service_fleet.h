@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "cellular/faults.h"
 #include "cellular/mobility.h"
 #include "cellular/service.h"
 #include "cellular/topology.h"
@@ -66,7 +67,8 @@ namespace confcall::cellular {
 struct FleetConfig {
   /// Executor lanes. Each shard gets its own queue, metrics label and
   /// (round-robin) core; areas map to shards statically. 0 is invalid —
-  /// resolve "auto" to hardware_concurrency before constructing.
+  /// resolve "auto" to the allowed CPU count (support::allowed_cores)
+  /// before constructing.
   std::size_t num_shards = 1;
   /// Independent serving domains. Fixed per deployment and independent
   /// of num_shards — the shard count scales execution, never semantics.
@@ -87,6 +89,18 @@ struct FleetConfig {
   /// one-area batch inline — to their mapped cores (Linux-only; purely
   /// a locality hint, results never depend on it).
   bool pin_threads = false;
+  /// Per-area fault injection. When any fault class is enabled (and the
+  /// paging policy is not adaptive), area a owns a FaultPlan seeded from
+  /// mix_seed(faults.seed, a), advanced once per step_all. Default: no
+  /// plan is attached anywhere.
+  FaultConfig faults{};
+  /// Per-area planner overrides (non-owning; each must outlive the fleet
+  /// and serve only its own area, so no breaker is shared). Empty = every
+  /// area plans with the base config's planner; otherwise one entry per
+  /// area. An area with a planner override plans on its own: it skips the
+  /// process-wide signature table, whose answers must be a pure function
+  /// of the signature, which a breaker-guarded chain is not.
+  std::vector<const core::Planner*> area_planners;
 
   /// Throws std::invalid_argument with a specific message on nonsense.
   void validate() const;
@@ -129,9 +143,10 @@ class ServiceFleet {
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);
 
-  /// Advances every area one mobility step (moves, reports, tick) in
-  /// parallel, deterministically: area a's step t draws from substream
-  /// (area step seed, t) regardless of execution order.
+  /// Advances every area one mobility step (fault clocks, moves,
+  /// reports, tick) in parallel, deterministically: area a's step t
+  /// draws from substream (area step seed, t) regardless of execution
+  /// order.
   void step_all();
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
@@ -184,8 +199,9 @@ class ServiceFleet {
   void add_state_sections(support::StateBundle& bundle) const;
 
   /// All-or-nothing restore across the WHOLE fleet: every section is
-  /// parsed and validated against freshly built services first; only
-  /// when every area restores does the fleet swap state. Returns false
+  /// parsed and validated against freshly built services first (wired to
+  /// the same per-area planners, with fresh fault plans); only when every
+  /// area restores does the fleet swap state. Returns false
   /// (leaving the current state untouched) on any missing section,
   /// version skew, shape mismatch or malformed payload. Never throws on
   /// bad input.
@@ -204,6 +220,7 @@ class ServiceFleet {
   /// Everything one area owns. Heap-allocated so hot per-area state
   /// never false-shares across the areas a dispatch runs in parallel.
   struct AreaState {
+    std::unique_ptr<FaultPlan> faults;  ///< null without fault injection
     std::unique_ptr<LocationService> service;
     std::vector<CellId> user_cells;
     std::uint64_t locate_counter = 0;  ///< calls served (rng substream index)

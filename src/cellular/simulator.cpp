@@ -10,7 +10,6 @@
 #include "cellular/mobility.h"
 #include "cellular/topology.h"
 #include "core/planner.h"
-#include "core/resilient_planner.h"
 #include "prob/rng.h"
 #include "support/thread_pool.h"
 
@@ -154,6 +153,19 @@ void SimReport::merge(const SimReport& other) {
   metrics.merge(other.metrics);
 }
 
+std::unique_ptr<core::ResilientPlanner> make_resilient_planner(
+    const OverloadConfig& overload, const support::ClockSource& clock,
+    support::MetricRegistry* registry) {
+  std::vector<std::unique_ptr<core::Planner>> chain;
+  chain.push_back(std::make_unique<core::TypedExactPlanner>(
+      core::Objective::all_of(), overload.planner_node_limit));
+  chain.push_back(std::make_unique<core::GreedyPlanner>());
+  chain.push_back(std::make_unique<core::BlanketPlanner>());
+  return std::make_unique<core::ResilientPlanner>(
+      std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
+      overload.breaker, registry);
+}
+
 SimReport run_simulation(const SimConfig& config) {
   config.validate();
   const GridTopology grid(config.grid_rows, config.grid_cols,
@@ -190,14 +202,7 @@ SimReport run_simulation(const SimConfig& config) {
   if (registry) service_cfg.metrics = ServiceMetrics::create(*registry);
   if (overload.enabled) {
     if (overload.resilient_planner) {
-      std::vector<std::unique_ptr<core::Planner>> chain;
-      chain.push_back(std::make_unique<core::TypedExactPlanner>(
-          core::Objective::all_of(), overload.planner_node_limit));
-      chain.push_back(std::make_unique<core::GreedyPlanner>());
-      chain.push_back(std::make_unique<core::BlanketPlanner>());
-      resilient = std::make_unique<core::ResilientPlanner>(
-          std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
-          overload.breaker, registry.get());
+      resilient = make_resilient_planner(overload, clock, registry.get());
       service_cfg.planner = resilient.get();
     }
     service_cfg.clock = &clock;

@@ -11,11 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cellular/events.h"
 #include "cellular/faults.h"
 #include "cellular/service.h"
+#include "core/resilient_planner.h"
 #include "prob/stats.h"
 #include "support/metrics.h"
 #include "support/overload.h"
@@ -252,6 +254,16 @@ struct SimReport {
            page_cost * static_cast<double>(cells_paged_total);
   }
 };
+
+/// The breaker-guarded chain OverloadConfig::resilient_planner asks for:
+/// typed-exact (all-of objective, capped at planner_node_limit) ->
+/// greedy Fig. 1 -> blanket, no wall-clock budget, breakers configured
+/// by overload.breaker and reading `clock`. Telemetry goes to `registry`
+/// (nullptr = a private one). Both `clock` and `registry` must outlive
+/// the planner. The one builder behind run_simulation and confcall_serve.
+std::unique_ptr<core::ResilientPlanner> make_resilient_planner(
+    const OverloadConfig& overload, const support::ClockSource& clock,
+    support::MetricRegistry* registry);
 
 /// Runs one simulation to completion. Deterministic given the config
 /// (including its seeds). Throws std::invalid_argument on inconsistent

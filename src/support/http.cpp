@@ -97,6 +97,34 @@ std::string render_response(const HttpResponse& response) {
   return send_all(fd, render_response(response));
 }
 
+// Closes a connection whose request was rejected while the client may
+// still be sending (a slow-loris drip, an unread flood). A plain close()
+// with bytes still unread — or arriving just after — makes the kernel
+// answer with an RST, which can discard the error response before the
+// client reads it. Half-close first so the response ends in a FIN, then
+// read and discard until the client's EOF or a short deadline, and only
+// then close. Bounded: a client that never closes holds the worker for
+// at most the linger budget.
+void lingering_close(int fd, std::uint64_t budget_ns) {
+  constexpr std::uint64_t kLingerNs = 200'000'000;
+  (void)::shutdown(fd, SHUT_WR);
+  const Deadline deadline = Deadline::after(std::min(budget_ns, kLingerNs),
+                                            SteadyClockSource::shared());
+  char chunk[4096];
+  while (true) {
+    const std::uint64_t remaining =
+        deadline.remaining_ns(SteadyClockSource::shared());
+    if (remaining == 0) break;
+    arm_recv_timeout(fd, remaining);
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      continue;
+    }
+    if (n <= 0) break;  // EOF or a reset: nothing left to protect
+  }
+  ::close(fd);
+}
+
 HttpResponse plain_status(int status, const std::string& body) {
   HttpResponse response;
   response.status = status;
@@ -407,7 +435,7 @@ void HttpServer::serve_connection(int fd) {
   if (!read_request(fd, options_, &request, &error)) {
     count_rejection(error.status);
     if (!send_response(fd, error)) send_failed_metric_.inc();
-    ::close(fd);
+    lingering_close(fd, options_.read_deadline_ns);
     return;
   }
   HttpResponse response;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <system_error>
@@ -21,10 +22,13 @@
 #endif
 
 #include "cellular/service.h"
+#include "cellular/simulator.h"
 #include "cellular/topology.h"
+#include "core/resilient_planner.h"
 #include "prob/rng.h"
 #include "support/fleet.h"
 #include "support/metrics.h"
+#include "support/overload.h"
 #include "support/state_io.h"
 #include "support/trace.h"
 
@@ -465,6 +469,169 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
     any_exemplar = any_exemplar || exemplar.valid();
   }
   EXPECT_TRUE(any_exemplar);
+}
+
+// ---- Overloaded/degraded serving: per-area faults and planners ------
+
+/// The fleet a degraded-urban / overloaded-urban daemon runs: every area
+/// owns a FaultPlan (outages, report loss, round drops) and its own
+/// breaker-guarded resilient planner chain, calls carry deadlines, and
+/// one ManualClock — advanced only between dispatches — drives deadlines
+/// and breaker cooldowns.
+struct ChaosFleet {
+  support::ManualClock clock;
+  std::vector<std::unique_ptr<core::ResilientPlanner>> planners;
+  std::unique_ptr<ServiceFleet> fleet;
+
+  ChaosFleet(const FleetWorld& world, std::size_t num_shards,
+             std::size_t num_areas = 6, std::size_t steal_limit = 2,
+             support::MetricRegistry* registry = nullptr) {
+    OverloadConfig overload;
+    overload.planner_node_limit = kPlannerNodeLimit;
+    FleetConfig config;
+    config.num_shards = num_shards;
+    config.num_areas = num_areas;
+    config.steal_limit = steal_limit;
+    config.seed = 7;
+    config.registry = registry;
+    config.faults.cell_outage_rate = 0.2;
+    config.faults.outage_duration = 6;
+    config.faults.report_loss_rate = 0.1;
+    config.faults.round_drop_rate = 0.1;
+    for (std::size_t a = 0; a < num_areas; ++a) {
+      planners.push_back(make_resilient_planner(overload, clock, registry));
+      config.area_planners.push_back(planners.back().get());
+    }
+    LocationService::Config service = FleetWorld::service_config();
+    service.profile_kind = ProfileKind::kLastSeen;
+    service.clock = &clock;
+    service.round_duration_ns = 1'000'000;
+    fleet = std::make_unique<ServiceFleet>(world.grid, world.areas,
+                                           world.mobility, service,
+                                           world.initial_cells, config);
+  }
+
+  /// Steps and wide batches like drive(), on the virtual clock: 10 ms per
+  /// step, a 2-round deadline on every call and every fifth call admitted
+  /// degraded.
+  std::vector<LocationService::LocateOutcome> drive(std::size_t n_batches) {
+    prob::Rng fixture_rng(4242);
+    std::vector<LocationService::LocateOutcome> all;
+    for (std::size_t b = 0; b < n_batches; ++b) {
+      clock.advance(10'000'000);
+      fleet->step_all();
+      std::vector<ServiceFleet::Request> batch(fleet->num_areas() * 2);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        batch[i].area = i % fleet->num_areas();
+        for (std::size_t k = 0; k < 4; ++k) {
+          batch[i].users.push_back(static_cast<UserId>(
+              k * 16 + fixture_rng.next_below(16)));
+        }
+        batch[i].context.deadline = support::Deadline::after(2'000'000, clock);
+        batch[i].context.plan_cheap = i % 5 == 4;
+      }
+      const auto outcomes = fleet->locate_many(batch);
+      all.insert(all.end(), outcomes.begin(), outcomes.end());
+    }
+    return all;
+  }
+
+  [[nodiscard]] std::uint64_t failovers() const {
+    std::uint64_t total = 0;
+    for (const auto& planner : planners) total += planner->failovers();
+    return total;
+  }
+
+  static constexpr std::uint64_t kPlannerNodeLimit = 200;
+};
+
+TEST(Fleet, FaultsAndResilientPlannersIdenticalAcrossShardCounts) {
+  const FleetWorld world;
+  ChaosFleet reference(world, 1);
+  const auto reference_outcomes = reference.drive(8);
+  const std::string reference_state = save_bytes(*reference.fleet);
+
+  // The chaos is real: faults reached the paging path and the exact
+  // tier failed over for some plans while serving others.
+  std::size_t fault_hits = 0;
+  for (const auto& outcome : reference_outcomes) {
+    fault_hits += outcome.outage_pages + outcome.dropped_rounds;
+  }
+  EXPECT_GT(fault_hits, 0u);
+  EXPECT_GT(reference.failovers(), 0u);
+  std::uint64_t exact_served = 0;
+  for (const auto& planner : reference.planners) {
+    exact_served += planner->served_counts().front();
+  }
+  EXPECT_GT(exact_served, 0u);
+
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+    ChaosFleet other(world, shards);
+    const auto outcomes = other.drive(8);
+    EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
+        << "outcomes diverged at " << shards << " shards";
+    EXPECT_EQ(save_bytes(*other.fleet), reference_state)
+        << "state diverged at " << shards << " shards";
+    EXPECT_EQ(other.failovers(), reference.failovers())
+        << "planner tiers diverged at " << shards << " shards";
+  }
+}
+
+TEST(Fleet, FaultyResilientStormIsRaceFreeAndDeterministic) {
+  // The TSan row for the moved behaviour: 4 lanes over 16 areas with a
+  // steal limit of zero, every area advancing its own fault plan and
+  // planning through its own breaker chain, all planners and shards
+  // of a fleet reporting into one registry. Results must match the
+  // 1-shard run.
+  const FleetWorld world;
+  support::MetricRegistry wide_registry;
+  support::MetricRegistry narrow_registry;
+  ChaosFleet wide(world, 4, /*num_areas=*/16, /*steal_limit=*/0,
+                  &wide_registry);
+  ChaosFleet narrow(world, 1, /*num_areas=*/16, /*steal_limit=*/0,
+                    &narrow_registry);
+  const auto wide_outcomes = wide.drive(6);
+  const auto narrow_outcomes = narrow.drive(6);
+  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_EQ(save_bytes(*wide.fleet), save_bytes(*narrow.fleet));
+  // The planners share their registry's series: one fleet-wide count.
+  const auto failovers = [](const support::MetricRegistry& registry) {
+    return registry.snapshot()
+        .sum_by("confcall_planner_failovers_total")
+        ->counter_value;
+  };
+  EXPECT_GT(failovers(narrow_registry), 0u);
+  EXPECT_EQ(failovers(wide_registry), failovers(narrow_registry));
+  EXPECT_GT(wide.fleet->stats().tasks, 0u);
+}
+
+TEST(Fleet, RestoreRejectsTheSingleServiceCheckpointLayout) {
+  // A checkpoint from a daemon that served one bare LocationService: a
+  // location_service section plus the daemon's serve_daemon user cells.
+  // It parses as a valid file, but carries no fleet sections, so the
+  // restore must refuse it — false, no throw, no state touched — which
+  // the daemon counts as a cold_section_mismatch start.
+  const FleetWorld world;
+  LocationService bare(world.grid, world.areas, world.mobility,
+                       FleetWorld::service_config(), world.initial_cells);
+  support::StateWriter cells;
+  cells.put_u64(world.initial_cells.size());
+  for (const CellId cell : world.initial_cells) cells.put_u32(cell);
+  support::StateBundle legacy;
+  legacy.add(LocationService::kStateSection, LocationService::kStateVersion,
+             bare.save_state());
+  legacy.add("serve_daemon", 1, std::move(cells).take());
+  const support::StateBundle reloaded =
+      support::StateBundle::deserialize(legacy.serialize());
+
+  ChaosFleet target(world, 2);
+  (void)target.drive(2);
+  const std::string before = save_bytes(*target.fleet);
+  bool restored = true;
+  EXPECT_NO_THROW(restored = target.fleet->restore_state_sections(reloaded));
+  EXPECT_FALSE(restored);
+  EXPECT_EQ(save_bytes(*target.fleet), before);
+  EXPECT_EQ(target.fleet->areas_restored(), 0u);
 }
 
 }  // namespace
